@@ -118,8 +118,9 @@ void DamNode::round(sim::Round now) {
   // (Sec. V-A.2a) so fresh super contacts spread through the group. The
   // recovery extension additionally piggybacks a digest of recently seen
   // event ids (most recent first).
+  Env::SendBuffers& buffers = env_->send_buffers();
   membership_.round(now, super_table_.entries(), super_table_.super_topic(),
-                    [this](Message&& msg) {
+                    buffers.msg, buffers.targets, [this](Message&& msg) {
                       if (config_.recovery.enabled) {
                         const std::size_t digest = std::min(
                             config_.recovery.digest_size, history_.size());
@@ -145,28 +146,31 @@ void DamNode::disseminate(const Message& event_msg) {
   const std::size_t group_size =
       std::max<std::size_t>(membership_.group_size_estimate(), 1);
 
+  // Every copy is built in the host's send buffers: copy-assigning the
+  // event into the reused message keeps its vectors' capacity.
+  Env::SendBuffers& buffers = env_->send_buffers();
+  const auto send_copy = [&](ProcessId target, bool intergroup) {
+    Message& out = buffers.msg;
+    out = event_msg;
+    out.from = self_;
+    out.to = target;
+    out.intergroup = intergroup;
+    env_->send(std::move(out));
+  };
+
   // (1) Intergroup leg (Fig. 7 lines 3–7): elect self with probability
   // psel = g/S; if elected, send to each supertopic-table entry with
   // probability pa = a/z. Root processes have an empty table and skip this.
   protocol::for_each_intergroup_target(
-      params, group_size, super_table_.entries(), rng_, [&](ProcessId target) {
-        Message out = event_msg;
-        out.from = self_;
-        out.to = target;
-        out.intergroup = true;
-        env_->send(std::move(out));
-      });
+      params, group_size, super_table_.entries(), rng_,
+      [&](ProcessId target) { send_copy(target, true); });
 
   // (2) Intra-group gossip leg (Fig. 7 lines 8–14): fanout distinct
   // processes drawn from the topic table, without replacement (the Ω set).
-  for (ProcessId target : protocol::fanout_targets(
-           params, group_size, membership_.view().entries(), rng_)) {
-    Message out = event_msg;
-    out.from = self_;
-    out.to = target;
-    out.intergroup = false;
-    env_->send(std::move(out));
-  }
+  protocol::fanout_targets_into(params, group_size,
+                                membership_.view().entries(), rng_,
+                                buffers.targets);
+  for (ProcessId target : buffers.targets) send_copy(target, false);
 }
 
 void DamNode::handle_event(const Message& msg) {
@@ -324,7 +328,8 @@ void DamNode::maintain_links(sim::Round now) {
 void DamNode::handle_event_request(const Message& msg) {
   if (!config_.recovery.enabled) return;
   for (const net::EventId& wanted : msg.event_ids) {
-    for (const Message& stored : history_) {
+    for (std::size_t i = 0; i < history_.size(); ++i) {
+      const Message& stored = history_[i];
       if (stored.event != wanted) continue;
       Message retransmit = stored;
       retransmit.from = self_;
@@ -339,10 +344,12 @@ void DamNode::handle_event_request(const Message& msg) {
 
 void DamNode::remember_history(const Message& event_msg) {
   if (!config_.recovery.enabled) return;
-  history_.push_back(event_msg);
-  while (history_.size() > config_.recovery.history_size) {
+  // Make room before pushing, so the ring never grows past history_size.
+  while (!history_.empty() &&
+         history_.size() >= config_.recovery.history_size) {
     history_.pop_front();
   }
+  if (config_.recovery.history_size > 0) history_.push_back(event_msg);
 }
 
 bool DamNode::better_or_equal_super(TopicId candidate) const {

@@ -12,10 +12,13 @@
 //   * supertopic table — z contacts in the nearest non-empty supergroup;
 //   * bootstrap task  — FIND_SUPER_CONTACT state machine;
 //   * seen set        — event ids already forwarded (duplicate suppression).
+//
+// No per-node container allocates before it is first used: a freshly built
+// node owns no heap memory, and its gossip is built in the host's
+// Env::SendBuffers (docs/ARCHITECTURE.md, "Per-process memory").
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <span>
@@ -30,6 +33,7 @@
 #include "net/message.hpp"
 #include "sim/clock.hpp"
 #include "topics/hierarchy.hpp"
+#include "util/fifo.hpp"
 #include "util/rng.hpp"
 
 namespace dam::core {
@@ -59,6 +63,22 @@ class Env {
 
   /// Application-level delivery callback (Fig. 5 line 8).
   virtual void deliver(ProcessId self, const Message& event_msg) = 0;
+
+  /// Buffers a node reuses to build its outgoing gossip: one message and
+  /// one target list. The host owns them and lends them to whichever node
+  /// is running (nodes run one at a time), so the steady-state send path —
+  /// DISSEMINATE's fan-out and the membership round — never touches the
+  /// allocator and no node pays for buffers of its own. A node fills
+  /// `msg` from reset() (or a full copy) before every send(); a host whose
+  /// send() keeps the message may move from it.
+  struct SendBuffers {
+    Message msg;
+    std::vector<ProcessId> targets;
+  };
+  [[nodiscard]] SendBuffers& send_buffers() noexcept { return send_buffers_; }
+
+ private:
+  SendBuffers send_buffers_;
 };
 
 struct NodeConfig {
@@ -223,7 +243,7 @@ class DamNode {
   /// Duplicate suppression (forward on first reception), bounded by
   /// config_.max_seen_events.
   protocol::SeenSet<EventId> seen_;
-  std::deque<Message> history_;     // recovery buffer (recent event msgs)
+  util::Fifo<Message> history_;     // recovery buffer (recent event msgs)
   std::unordered_set<std::uint64_t> seen_requests_;  // (origin, request_id)
   std::uint32_t next_sequence_ = 0;
   std::size_t duplicates_ = 0;

@@ -25,12 +25,12 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <span>
 #include <unordered_set>
 #include <vector>
 
 #include "core/params.hpp"
+#include "util/fifo.hpp"
 #include "util/rng.hpp"
 
 namespace dam::core::protocol {
@@ -78,26 +78,10 @@ void for_each_intergroup_target(const TopicParams& params,
 
 /// The intra-group gossip leg (Fig. 7 lines 8–14): fanout(S) = ceil(ln S
 /// + c) distinct targets drawn uniformly from the topic table without
-/// replacement. Returns fewer when the table is smaller than the fanout.
-/// The span form reads CSR arena rows / shared views without materializing
-/// a vector first.
-template <typename Entry>
-[[nodiscard]] std::vector<Entry> fanout_targets(
-    const TopicParams& params, std::size_t group_size,
-    std::span<const Entry> topic_table, util::Rng& rng) {
-  return rng.sample(topic_table, params.fanout(group_size));
-}
-
-template <typename Entry>
-[[nodiscard]] std::vector<Entry> fanout_targets(
-    const TopicParams& params, std::size_t group_size,
-    const std::vector<Entry>& topic_table, util::Rng& rng) {
-  return rng.sample(topic_table, params.fanout(group_size));
-}
-
-/// `fanout_targets` into a caller-reused buffer — the wave-loop form: zero
-/// allocation per sender once `out` has warmed up, identical RNG stream and
-/// result sequence as the returning overload.
+/// replacement, written into the caller-reused buffer `out` (fewer when
+/// the table is smaller than the fanout). Zero allocation per sender once
+/// `out` has warmed up; the draws are exactly Rng::sample's. The span
+/// reads CSR arena rows / shared views without materializing a vector.
 template <typename Entry>
 void fanout_targets_into(const TopicParams& params, std::size_t group_size,
                          std::span<const Entry> topic_table, util::Rng& rng,
@@ -115,6 +99,9 @@ void fanout_targets_into(const TopicParams& params, std::size_t group_size,
 ///     evict_older_than(now), the sustained-service GC: a long-lived
 ///     process holds only the last `age_horizon` rounds of event ids no
 ///     matter how long the run (`age_horizon == 0` means no age GC).
+/// A set with neither bound holds only the hash set; the eviction orders
+/// are util::Fifo rings that allocate on first push, so a freshly built
+/// SeenSet owns no heap memory at all.
 template <typename Key>
 class SeenSet {
  public:
@@ -140,7 +127,7 @@ class SeenSet {
         order_.pop_front();
       }
     }
-    if (age_horizon_ > 0) stamped_.emplace_back(now, key);
+    if (age_horizon_ > 0) stamped_.push_back({now, key});
     return true;
   }
 
@@ -182,8 +169,8 @@ class SeenSet {
   std::size_t max_size_;
   std::size_t age_horizon_ = 0;
   std::unordered_set<Key> seen_;
-  std::deque<Key> order_;  // FIFO eviction order when count-bounded
-  std::deque<std::pair<std::uint64_t, Key>> stamped_;  // age-GC order
+  util::Fifo<Key> order_;  // FIFO eviction order when count-bounded
+  util::Fifo<std::pair<std::uint64_t, Key>> stamped_;  // age-GC order
 };
 
 }  // namespace dam::core::protocol

@@ -353,7 +353,7 @@ void DamSystem::send(Message&& msg) {
     entry.sequence = msg.event.sequence;
     trace_->record(entry);
   }
-  transport_.send(std::move(msg), clock_.now());
+  transport_.send(msg, clock_.now());
 }
 
 std::optional<TopicId> DamSystem::cached_nearest_super(TopicId topic) const {

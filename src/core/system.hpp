@@ -4,8 +4,8 @@
 // neighborhood overlay, a failure model, and the metrics collector. This is
 // the "whole system" entry point used by the examples, the integration
 // tests, and the bootstrap/ablation benches. (The figure benches use the
-// specialized static-table engine in core/static_sim.hpp, which reproduces
-// the paper's frozen-membership setting exactly.)
+// frozen-table engine in core/frozen_sim.hpp, which reproduces the paper's
+// frozen-membership setting exactly.)
 #pragma once
 
 #include <memory>

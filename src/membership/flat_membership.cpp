@@ -34,24 +34,25 @@ void FlatMembership::adopt(std::span<const ProcessId> base) {
 void FlatMembership::round(sim::Round now,
                            std::span<const ProcessId> piggyback,
                            std::optional<TopicId> piggyback_topic,
+                           Message& out, std::vector<ProcessId>& targets,
                            const SendFn& send) {
   if (view_.empty()) return;
-  const auto targets = view_.sample(config_.gossip_fanout, rng_);
+  rng_.sample_into(view_.entries(), config_.gossip_fanout, targets);
   for (ProcessId target : targets) {
-    Message msg;
-    msg.kind = MsgKind::kMembership;
-    msg.from = self_;
-    msg.to = target;
-    msg.sent_at = now;
-    msg.answer_topic = topic_;
+    out.reset();
+    out.kind = MsgKind::kMembership;
+    out.from = self_;
+    out.to = target;
+    out.sent_at = now;
+    out.answer_topic = topic_;
     // Ship a random view subset; the receiver learns about us implicitly
     // through msg.from.
-    msg.processes = view_.sample(config_.shuffle_size, rng_);
+    rng_.sample_into(view_.entries(), config_.shuffle_size, out.processes);
     if (piggyback_topic && !piggyback.empty()) {
-      msg.piggyback_topic = piggyback_topic;
-      msg.piggyback_super_table.assign(piggyback.begin(), piggyback.end());
+      out.piggyback_topic = piggyback_topic;
+      out.piggyback_super_table.assign(piggyback.begin(), piggyback.end());
     }
-    send(std::move(msg));
+    send(std::move(out));
   }
 }
 

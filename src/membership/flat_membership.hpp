@@ -55,9 +55,21 @@ class FlatMembership {
 
   /// One membership round: initiate `gossip_fanout` view exchanges.
   /// `piggyback` is the sender's current supertopic table (may be empty);
-  /// it rides along per Sec. V-A.2a.
+  /// it rides along per Sec. V-A.2a. Each message is built in `out` and the
+  /// targets are drawn into `targets` — caller-owned buffers (the host's
+  /// Env::SendBuffers) whose capacity carries over from round to round, so
+  /// a warmed-up round allocates nothing.
   void round(sim::Round now, std::span<const ProcessId> piggyback,
-             std::optional<TopicId> piggyback_topic, const SendFn& send);
+             std::optional<TopicId> piggyback_topic, Message& out,
+             std::vector<ProcessId>& targets, const SendFn& send);
+
+  /// round() with buffers of its own, for callers without a host.
+  void round(sim::Round now, std::span<const ProcessId> piggyback,
+             std::optional<TopicId> piggyback_topic, const SendFn& send) {
+    Message out;
+    std::vector<ProcessId> targets;
+    round(now, piggyback, piggyback_topic, out, targets, send);
+  }
 
   /// Handles an incoming MEMBERSHIP message: merge sender + shipped view.
   void on_membership(const Message& msg);

@@ -10,6 +10,9 @@ void PartialView::seed(std::span<const ProcessId> base) {
 
 void PartialView::materialize() {
   if (!shared_) return;
+  // One block for the whole bound: the overlay then fills up to capacity
+  // without reallocating on later inserts.
+  entries_.reserve(std::max(capacity_, base_.size()));
   entries_.assign(base_.begin(), base_.end());
   shared_ = false;
 }

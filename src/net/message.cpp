@@ -25,6 +25,26 @@ const char* to_string(MsgKind kind) noexcept {
   return "?";
 }
 
+void Message::reset() noexcept {
+  kind = MsgKind::kEvent;
+  from = ProcessId{};
+  to = ProcessId{};
+  sent_at = 0;
+  topic = TopicId{};
+  event = EventId{};
+  intergroup = false;
+  payload.clear();
+  origin = ProcessId{};
+  request_id = 0;
+  init_msg.clear();
+  ttl = 0;
+  answer_topic = TopicId{};
+  processes.clear();
+  piggyback_topic.reset();
+  piggyback_super_table.clear();
+  event_ids.clear();
+}
+
 namespace {
 
 // Little-endian primitive writers/readers. A Reader tracks its cursor and

@@ -81,6 +81,11 @@ struct Message {
   // they are missing.
   std::vector<EventId> event_ids;
 
+  /// Restores every field to its default value but keeps the vectors'
+  /// capacity, so a reused scratch message is rebuilt without touching
+  /// the allocator.
+  void reset() noexcept;
+
   friend bool operator==(const Message&, const Message&) = default;
 };
 

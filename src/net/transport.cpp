@@ -69,8 +69,7 @@ Transport::RoundSlab& Transport::slab_for(sim::Round due) {
 }
 
 void Transport::note_high_water() {
-  std::size_t bytes = bodies_.bytes();
-  for (const auto& [round, slab] : in_flight_) bytes += slab.bytes();
+  const std::size_t bytes = queue_bytes();
   stats_.peak_queue_bytes = std::max(stats_.peak_queue_bytes, bytes);
   window_peak_bytes_ = std::max(window_peak_bytes_, bytes);
   stats_.peak_queue_records =
@@ -87,13 +86,7 @@ std::size_t Transport::take_window_peak() noexcept {
   return peak;
 }
 
-std::size_t Transport::queue_bytes() const noexcept {
-  std::size_t bytes = bodies_.bytes();
-  for (const auto& [round, slab] : in_flight_) bytes += slab.bytes();
-  return bytes;
-}
-
-void Transport::send(Message msg, sim::Round now) {
+void Transport::send(const Message& msg, sim::Round now) {
   ++stats_.sent;
   if (config_.loss_at_send && !channel_delivers(config_.psucc, rng_)) {
     ++stats_.lost_channel;
@@ -101,6 +94,7 @@ void Transport::send(Message msg, sim::Round now) {
     return;
   }
   RoundSlab& slab = slab_for(now + config_.delay);
+  const std::size_t slab_bytes_before = slab.bytes();
   Record rec;
   rec.from = msg.from;
   rec.to = msg.to;
@@ -144,29 +138,18 @@ void Transport::send(Message msg, sim::Round now) {
     slab.extras.push_back(extra);
   }
   slab.records.push_back(rec);
+  slab_bytes_ += slab.bytes() - slab_bytes_before;
   ++queued_records_;
   note_high_water();
 }
 
 void Transport::materialize(const Record& rec, const RoundSlab& slab) {
   Message& msg = scratch_;
+  msg.reset();
   msg.kind = rec.kind;
   msg.from = rec.from;
   msg.to = rec.to;
   msg.sent_at = rec.sent_at;
-  msg.topic = TopicId{};
-  msg.event = EventId{};
-  msg.intergroup = false;
-  msg.payload.clear();
-  msg.origin = ProcessId{};
-  msg.request_id = 0;
-  msg.init_msg.clear();
-  msg.ttl = 0;
-  msg.answer_topic = TopicId{};
-  msg.processes.clear();
-  msg.piggyback_topic.reset();
-  msg.piggyback_super_table.clear();
-  msg.event_ids.clear();
   if (rec.kind == MsgKind::kEvent) {
     const EventBodyPool::Body& body = bodies_[rec.ref];
     msg.topic = body.topic;
@@ -203,6 +186,7 @@ void Transport::deliver_round(
   RoundSlab slab = std::move(it->second);
   in_flight_.erase(it);
   queued_records_ -= slab.records.size();
+  slab_bytes_ -= slab.bytes();
   for (const Record& rec : slab.records) {
     if (!config_.loss_at_send && !channel_delivers(config_.psucc, rng_)) {
       ++stats_.lost_channel;

@@ -120,8 +120,10 @@ class Transport {
   Transport(Config config, util::Rng rng, const sim::FailureModel* failures)
       : config_(config), rng_(rng), failures_(failures) {}
 
-  /// Queues `msg` for delivery at `now + delay`.
-  void send(Message msg, sim::Round now);
+  /// Queues a copy of `msg` for delivery at `now + delay`. The copy goes
+  /// into the round slab and the interned body pool, so the caller keeps
+  /// `msg` (and its buffers) for its next send.
+  void send(const Message& msg, sim::Round now);
 
   /// Delivers every message due at `round` (in send order) to `sink`.
   /// Messages the channel loses or whose target is (perceived) failed are
@@ -146,8 +148,13 @@ class Transport {
 
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
-  /// Current logical in-flight footprint (see Stats::peak_queue_bytes).
-  [[nodiscard]] std::size_t queue_bytes() const noexcept;
+  /// Current logical in-flight footprint (see Stats::peak_queue_bytes):
+  /// a running total, kept by send and deliver_round, so ratcheting the
+  /// high-water marks on every send costs O(1) however many rounds are in
+  /// flight.
+  [[nodiscard]] std::size_t queue_bytes() const noexcept {
+    return bodies_.bytes() + slab_bytes_;
+  }
 
   /// Queue high-water since the previous take_window_peak call, then
   /// resets the window to the current footprint. The flight recorder
@@ -240,6 +247,7 @@ class Transport {
   EventBodyPool bodies_;
   Message scratch_;
   std::size_t queued_records_ = 0;
+  std::size_t slab_bytes_ = 0;  ///< sum of bytes() over in_flight_ slabs
   std::size_t window_peak_bytes_ = 0;  ///< high-water since take_window_peak
   Stats stats_;
 };

@@ -30,8 +30,17 @@ struct GroupCounters {
 
 class Metrics {
  public:
-  GroupCounters& group(topics::TopicId topic) { return per_group_[topic]; }
-  [[nodiscard]] const GroupCounters& group(topics::TopicId topic) const;
+  /// Counters of one group. TopicIds are dense interning indices, so the
+  /// counters live in a vector indexed by id (grown on first touch) — the
+  /// per-message accounting in DamSystem::send/deliver is one index, not a
+  /// hash lookup.
+  GroupCounters& group(topics::TopicId topic) {
+    if (topic.value >= per_group_.size()) per_group_.resize(topic.value + 1);
+    return per_group_[topic.value];
+  }
+  [[nodiscard]] const GroupCounters& group(topics::TopicId topic) const {
+    return topic.value < per_group_.size() ? per_group_[topic.value] : kZero;
+  }
 
   void count_parasite_delivery() noexcept { ++parasite_deliveries_; }
   [[nodiscard]] std::uint64_t parasite_deliveries() const noexcept {
@@ -123,7 +132,7 @@ class Metrics {
   void reset();
 
  private:
-  std::unordered_map<topics::TopicId, GroupCounters> per_group_;
+  std::vector<GroupCounters> per_group_;  ///< indexed by TopicId::value
   std::unordered_map<net::EventId, EventLatency> event_latencies_;
   std::uint64_t parasite_deliveries_ = 0;
   std::vector<std::uint64_t> infections_per_round_;

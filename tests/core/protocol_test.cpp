@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -62,7 +63,9 @@ TEST(ProtocolFanout, NeverRepeatsATarget) {
   for (std::uint32_t i = 0; i < table.size(); ++i) table[i] = i * 3;
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     util::Rng rng(seed);
-    const auto targets = fanout_targets(params, 200, table, rng);
+    std::vector<std::uint32_t> targets;
+    fanout_targets_into(params, 200, std::span<const std::uint32_t>(table),
+                        rng, targets);
     EXPECT_EQ(targets.size(), params.fanout(200));
     std::unordered_set<std::uint32_t> distinct(targets.begin(), targets.end());
     EXPECT_EQ(distinct.size(), targets.size()) << "seed " << seed;
@@ -78,7 +81,9 @@ TEST(ProtocolFanout, SmallTableReturnsEverythingOnce) {
   const std::vector<int> table{7, 8, 9};
   util::Rng rng(5);
   // fanout(1000) = 12 > table size: every entry exactly once.
-  auto targets = fanout_targets(params, 1000, table, rng);
+  std::vector<int> targets;
+  fanout_targets_into(params, 1000, std::span<const int>(table), rng,
+                      targets);
   std::sort(targets.begin(), targets.end());
   EXPECT_EQ(targets, table);
 }

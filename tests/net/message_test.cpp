@@ -261,5 +261,31 @@ TEST(MsgKindNames, AllDistinct) {
   EXPECT_STREQ(to_string(MsgKind::kEventRequest), "EVENTREQ");
 }
 
+TEST(MessageReset, RestoresEveryDefaultAndKeepsCapacity) {
+  Message msg;
+  msg.kind = MsgKind::kMembership;
+  msg.from = ProcessId{1};
+  msg.to = ProcessId{2};
+  msg.sent_at = 9;
+  msg.topic = TopicId{3};
+  msg.event = EventId{ProcessId{4}, 5};
+  msg.intergroup = true;
+  msg.payload = {1, 2, 3};
+  msg.origin = ProcessId{6};
+  msg.request_id = 7;
+  msg.init_msg = {TopicId{1}, TopicId{2}};
+  msg.ttl = 8;
+  msg.answer_topic = TopicId{9};
+  msg.processes = {ProcessId{1}, ProcessId{2}};
+  msg.piggyback_topic = TopicId{4};
+  msg.piggyback_super_table = {ProcessId{3}};
+  msg.event_ids = {EventId{ProcessId{2}, 11}};
+  msg.reset();
+  // operator== compares every field, so a field reset() forgets fails here.
+  EXPECT_EQ(msg, Message{});
+  EXPECT_GE(msg.payload.capacity(), 3u);
+  EXPECT_GE(msg.processes.capacity(), 2u);
+}
+
 }  // namespace
 }  // namespace dam::net
